@@ -16,7 +16,9 @@ all:
 # latency) + the vectorized-executor gate (>= 3x mean execute speedup
 # over the row interpreter, byte-identical results on a randomized
 # differential single-node and through a 2-shard platform, fallback
-# overhead <= 2.5%); the introspection suite exercises the HTTP admin
+# overhead <= 2.5%) + the wire gate (PG v3 decode is linear in result
+# bytes: per-row decode time at 10^5 rows <= 2x that at 10^3, allocation
+# <= 1.2x the row ratio); the introspection suite exercises the HTTP admin
 # endpoint through its pure handler, so no curl / open port needed
 ci:
 	dune build @all
@@ -28,6 +30,7 @@ ci:
 	dune exec bench/main.exe -- explain_gate
 	dune exec bench/main.exe -- runtime_gate
 	dune exec bench/main.exe -- vector_gate
+	dune exec bench/main.exe -- wire_gate
 
 # quick overhead gates only (exit 1 on regression)
 bench-smoke:
@@ -38,6 +41,7 @@ bench-smoke:
 	dune exec bench/main.exe -- explain_gate
 	dune exec bench/main.exe -- runtime_gate
 	dune exec bench/main.exe -- vector_gate
+	dune exec bench/main.exe -- wire_gate
 
 check:
 	dune build @dev-check

@@ -11,7 +11,9 @@
      pruning         Ablation B: column pruning on/off (wide tables)
      ordering        Ablation C: order elision on/off
      materialization Ablation D: logical vs physical materialization
-     protocol        Figure 5  : QIPC column pivot vs PG v3 row streaming
+     protocol        Figure 5  : QIPC column pivot vs PG v3 row streaming,
+                     with the Gateway's PG v3 decode timed
+     wire_gate       Quick PG v3 decode linearity gate for `make ci`
      obs             Per-stage percentiles over the full proxy
      qstats          Fingerprint-store overhead
      trace_export    Correlation-plane overhead (ids/traceparent/export/log)
@@ -335,12 +337,57 @@ let bench_materialization () =
 (* Figure 5: protocol pivot                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* The PG v3 reply a backend streams for an [n]-row (sym, px, qty)
+   result: RowDescription, one DataRow per row, CommandComplete and
+   ReadyForQuery. *)
+let pg_result_bytes n =
+  let buf = Buffer.create (n * 32) in
+  Buffer.add_string buf
+    (Pgwire.Codec.encode_backend
+       (Pgwire.Codec.RowDescription
+          [
+            { Pgwire.Codec.fd_name = "sym"; fd_type_oid = 1043 };
+            { Pgwire.Codec.fd_name = "px"; fd_type_oid = 701 };
+            { Pgwire.Codec.fd_name = "qty"; fd_type_oid = 20 };
+          ]));
+  for i = 0 to n - 1 do
+    Buffer.add_string buf
+      (Pgwire.Codec.encode_backend
+         (Pgwire.Codec.DataRow
+            [
+              Some (Printf.sprintf "S%03d" (i mod 500));
+              Some (Printf.sprintf "%.2f" (float_of_int i *. 0.01));
+              Some (string_of_int i);
+            ]))
+  done;
+  Buffer.add_string buf
+    (Pgwire.Codec.encode_backend
+       (Pgwire.Codec.CommandComplete (Printf.sprintf "SELECT %d" n)));
+  Buffer.add_string buf
+    (Pgwire.Codec.encode_backend (Pgwire.Codec.ReadyForQuery 'I'));
+  Buffer.contents buf
+
+(* Decode a canned reply the way the Gateway does: Pgwire.Client.query
+   over a transport that hands back [bytes] once. *)
+let pg_decode bytes =
+  let pending = ref bytes in
+  let send _ =
+    let b = !pending in
+    pending := "";
+    b
+  in
+  match
+    Pgwire.Client.query { Pgwire.Client.send; buffer = ""; ready = true } "q"
+  with
+  | Ok r -> r
+  | Error e -> failwith e
+
 let bench_protocol () =
   header
     "Figure 5 - result formats: QIPC single column-oriented message vs PG \
      v3 row stream";
-  Printf.printf "%-10s %14s %14s %14s %14s\n" "rows" "qipc bytes"
-    "qipc enc (ms)" "pgv3 bytes" "pgv3 enc (ms)";
+  Printf.printf "%-10s %14s %14s %14s %14s %14s\n" "rows" "qipc bytes"
+    "qipc enc (ms)" "pgv3 bytes" "pgv3 enc (ms)" "pgv3 dec (ms)";
   List.iter
     (fun n ->
       let table =
@@ -364,32 +411,74 @@ let bench_protocol () =
       in
       let qipc_ms = (now () -. t0) *. 1000.0 in
       let t1 = now () in
-      let buf = Buffer.create (n * 32) in
-      Buffer.add_string buf
-        (Pgwire.Codec.encode_backend
-           (Pgwire.Codec.RowDescription
-              [
-                { Pgwire.Codec.fd_name = "sym"; fd_type_oid = 1043 };
-                { Pgwire.Codec.fd_name = "px"; fd_type_oid = 701 };
-                { Pgwire.Codec.fd_name = "qty"; fd_type_oid = 20 };
-              ]));
-      for i = 0 to n - 1 do
-        Buffer.add_string buf
-          (Pgwire.Codec.encode_backend
-             (Pgwire.Codec.DataRow
-                [
-                  Some (Printf.sprintf "S%03d" (i mod 500));
-                  Some (Printf.sprintf "%.2f" (float_of_int i *. 0.01));
-                  Some (string_of_int i);
-                ]))
-      done;
+      let pg_bytes = pg_result_bytes n in
       let pg_ms = (now () -. t1) *. 1000.0 in
-      Printf.printf "%-10d %14d %14.2f %14d %14.2f\n%!" n
-        (String.length qipc_bytes) qipc_ms (Buffer.length buf) pg_ms)
+      let t2 = now () in
+      ignore (pg_decode pg_bytes);
+      let dec_ms = (now () -. t2) *. 1000.0 in
+      Printf.printf "%-10d %14d %14.2f %14d %14.2f %14.2f\n%!" n
+        (String.length qipc_bytes) qipc_ms (String.length pg_bytes) pg_ms
+        dec_ms)
     [ 100; 1_000; 10_000; 100_000 ];
   Printf.printf
     "--\nQIPC needs the whole result buffered before its single message \
-     can be formed; PG v3 streams per-row (paper Section 4.2)\n"
+     can be formed; PG v3 streams per-row (paper Section 4.2), and the \
+     Gateway decodes every row before it can pivot\n"
+
+(* CI gate: PG v3 decode is linear in result bytes. Decoding 10^5 rows
+   may cost at most 2x the per-row time of 10^3 rows, and allocate at
+   most 1.2x the row ratio in bytes. 10^4 rows are checked on the way, so
+   a quadratic decoder fails there within a minute instead of running on
+   to 10^5 rows for much longer. *)
+let bench_wire_gate () =
+  header "PG v3 decode linearity gate";
+  (* each timing decodes 10^5 rows in all, as one reply or as a batch of
+     smaller ones, so every size is timed over the same span; the median
+     of seven timings is kept *)
+  let measure n =
+    let bytes = pg_result_bytes n in
+    let batch = max 1 (100_000 / n) in
+    let times =
+      Array.init 7 (fun _ ->
+          let t0 = now () in
+          for _ = 1 to batch do
+            let r = pg_decode bytes in
+            if Array.length r.Pgwire.Client.rows <> n then
+              failwith "wire gate: wrong row count"
+          done;
+          now () -. t0)
+    in
+    Array.sort compare times;
+    (* an empty minor heap at both readings makes the count exact *)
+    Gc.minor ();
+    let a0 = Gc.allocated_bytes () in
+    ignore (pg_decode bytes);
+    Gc.minor ();
+    ( times.(3) *. 1e9 /. float_of_int (n * batch),
+      Gc.allocated_bytes () -. a0 )
+  in
+  Printf.printf "%-10s %16s %18s %12s %12s\n" "rows" "decode (ns/row)"
+    "allocated (B)" "time ratio" "alloc ratio";
+  let base_n = 1_000 in
+  let base_ns, base_alloc = measure base_n in
+  Printf.printf "%-10d %16.1f %18.0f\n%!" base_n base_ns base_alloc;
+  List.iter
+    (fun n ->
+      let ns, alloc = measure n in
+      let time_ratio = ns /. base_ns in
+      let alloc_ratio = alloc /. base_alloc in
+      let alloc_bound = 1.2 *. float_of_int (n / base_n) in
+      Printf.printf "%-10d %16.1f %18.0f %11.2fx %11.1fx\n%!" n ns alloc
+        time_ratio alloc_ratio;
+      if time_ratio > 2.0 || alloc_ratio > alloc_bound then begin
+        Printf.printf
+          "--\nWIRE GATE FAIL: %d rows decode at %.2fx the per-row time of \
+           %d rows (<= 2x) and allocate %.1fx the bytes (<= %.0fx)\n"
+          n time_ratio base_n alloc_ratio alloc_bound;
+        exit 1
+      end)
+    [ 10_000; 100_000 ];
+  Printf.printf "--\nwire gate ok\n"
 
 (* ------------------------------------------------------------------ *)
 (* Observability: per-stage percentiles over the full proxy            *)
@@ -2018,6 +2107,7 @@ let all_experiments =
     ("ordering", bench_ordering);
     ("materialization", bench_materialization);
     ("protocol", bench_protocol);
+    ("wire_gate", bench_wire_gate);
     ("obs", bench_obs);
     ("qstats", bench_qstats);
     ("trace_export", (fun () -> bench_trace_export ()));
@@ -2052,7 +2142,7 @@ let () =
           if name <> "smoke" && name <> "plan_cache_gate"
              && name <> "shard_gate" && name <> "obs_gate"
              && name <> "explain_gate" && name <> "runtime_gate"
-             && name <> "vector_gate"
+             && name <> "vector_gate" && name <> "wire_gate"
           then f ())
         all_experiments
   | names ->

@@ -214,25 +214,79 @@ let days_of_ymd y m d =
 
 let ns_per_day = 86_400_000_000_000L
 
-(** PG text-format rendering, as sent in DataRow messages. *)
+(* The C routine behind Printf's %f and %g: calling it directly gives
+   the same bytes without Printf's format interpretation. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+(* [n] as Printf's [%0wd] would write it: at least [w] characters,
+   zero-padded after any sign *)
+let pad0 w n =
+  let s = string_of_int n in
+  let zeros = w - String.length s in
+  if zeros <= 0 then s
+  else if n < 0 then
+    "-" ^ String.make zeros '0' ^ String.sub s 1 (String.length s - 1)
+  else String.make zeros '0' ^ s
+
+(* write [n], with [0 <= n < 10^w], as [w] digits at [off] *)
+let put_digits b off w n =
+  let n = ref n in
+  for i = off + w - 1 downto off do
+    Bytes.unsafe_set b i (Char.unsafe_chr (48 + (!n mod 10)));
+    n := !n / 10
+  done
+
+(* "YYYY-MM-DD" at offset 0 of [b], then [rest] written after it. Years
+   outside 0..9999 are re-rendered as [%04d] would. *)
+let with_date len y m d (rest : Bytes.t -> unit) =
+  let b = Bytes.create len in
+  put_digits b 0 4 (if y >= 0 && y <= 9999 then y else 0);
+  Bytes.unsafe_set b 4 '-';
+  put_digits b 5 2 m;
+  Bytes.unsafe_set b 7 '-';
+  put_digits b 8 2 d;
+  rest b;
+  if y >= 0 && y <= 9999 then Bytes.unsafe_to_string b
+  else pad0 4 y ^ Bytes.sub_string b 4 (len - 4)
+
+(* "HH:MM:SS." at [off] for a second of the day *)
+let put_hms b off s =
+  put_digits b off 2 (s / 3600);
+  Bytes.unsafe_set b (off + 2) ':';
+  put_digits b (off + 3) 2 (s / 60 mod 60);
+  Bytes.unsafe_set b (off + 5) ':';
+  put_digits b (off + 6) 2 (s mod 60);
+  Bytes.unsafe_set b (off + 8) '.'
+
+(** PG text-format rendering, as sent in DataRow messages. The bytes are
+    those of the Printf formats [%.1f] / [%.17g], [%04d-%02d-%02d] and
+    [%02d:%02d:%02d.%03d], written digit by digit. *)
 let to_text = function
   | Null -> None
   | Bool b -> Some (if b then "t" else "f")
   | Int i -> Some (Int64.to_string i)
   | Float f ->
       Some
-        (if Float.is_integer f && Float.abs f < 1e15 then
-           Printf.sprintf "%.1f" f
-         else Printf.sprintf "%.17g" f)
+        (if Float.is_integer f && Float.abs f < 1e15 then format_float "%.1f" f
+         else format_float "%.17g" f)
   | Str s -> Some s
   | Date d ->
       let y, m, dd = ymd_of_days d in
-      Some (Printf.sprintf "%04d-%02d-%02d" y m dd)
+      Some (with_date 10 y m dd ignore)
+  | Time t when t >= 0 && t < 86_400_000 ->
+      let b = Bytes.create 12 in
+      put_hms b 0 (t / 1000);
+      put_digits b 9 3 (t mod 1000);
+      Some (Bytes.unsafe_to_string b)
   | Time t ->
+      (* outside one day, fields may be negative or wider than 2 digits *)
       let ms = t mod 1000 and s = t / 1000 in
       Some
-        (Printf.sprintf "%02d:%02d:%02d.%03d" (s / 3600) (s / 60 mod 60)
-           (s mod 60) ms)
+        (String.concat ""
+           [
+             pad0 2 (s / 3600); ":"; pad0 2 (s / 60 mod 60); ":";
+             pad0 2 (s mod 60); "."; pad0 3 ms;
+           ])
   | Timestamp n ->
       let day = Int64.to_int (Int64.div n ns_per_day) in
       let rem = Int64.rem n ns_per_day in
@@ -244,8 +298,10 @@ let to_text = function
       let us = Int64.to_int (Int64.div (Int64.rem rem 1_000_000_000L) 1000L) in
       let s = Int64.to_int (Int64.div rem 1_000_000_000L) in
       Some
-        (Printf.sprintf "%04d-%02d-%02d %02d:%02d:%02d.%06d" y m dd (s / 3600)
-           (s / 60 mod 60) (s mod 60) us)
+        (with_date 26 y m dd (fun b ->
+             Bytes.unsafe_set b 10 ' ';
+             put_hms b 11 s;
+             put_digits b 20 6 us))
 
 let to_display v = match to_text v with Some s -> s | None -> "NULL"
 

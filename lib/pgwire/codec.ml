@@ -55,10 +55,12 @@ let put_cstr buf s =
   Buffer.add_string buf s;
   put_u8 buf 0
 
-type reader = { data : string; mutable pos : int }
+(* [limit] is the end of the message being read, so no field of one
+   message can run into the bytes of the next *)
+type reader = { data : string; mutable pos : int; limit : int }
 
 let need r n =
-  if r.pos + n > String.length r.data then decode_error "truncated message"
+  if n < 0 || r.pos + n > r.limit then decode_error "truncated message"
 
 let get_u8 r =
   need r 1;
@@ -81,9 +83,8 @@ let get_i32 r =
 
 let get_cstr r =
   let start = r.pos in
-  let len = String.length r.data in
   let rec find i =
-    if i >= len then decode_error "unterminated string"
+    if i >= r.limit then decode_error "unterminated string"
     else if r.data.[i] = '\000' then i
     else find (i + 1)
   in
@@ -220,14 +221,36 @@ let encode_frontend (m : frontend_msg) : string =
 (* Decoding                                                          *)
 (* ---------------------------------------------------------------- *)
 
-(** Decode one backend message; returns it plus bytes consumed. *)
-let decode_backend (data : string) : backend_msg * int =
-  if String.length data < 5 then decode_error "short message";
-  let tag = data.[0] in
-  let r = { data; pos = 1 } in
-  let len = get_i32 r in
-  let total = 1 + len in
-  if total > String.length data then decode_error "truncated message";
+(** The framed size of the tagged message that starts at [pos]: [None]
+    until its 5-byte header is there. A size below 5 means a malformed
+    length. *)
+let frame_size ~pos (data : string) : int option =
+  if String.length data - pos < 5 then None
+  else
+    let r = { data; pos = pos + 1; limit = pos + 5 } in
+    Some (1 + get_i32 r)
+
+(* the framed size of the whole tagged message at [pos] *)
+let whole_frame pos data =
+  match frame_size ~pos data with
+  | None -> decode_error "short message"
+  | Some total when total < 5 -> decode_error "bad message length %d" total
+  | Some total ->
+      if pos + total > String.length data then decode_error "truncated message";
+      total
+
+(* a field or column count; a negative one is malformed, not empty *)
+let get_count r =
+  let n = get_i16 r in
+  if n < 0 then decode_error "negative count %d" n;
+  n
+
+(** Decode one backend message starting at [pos] (default 0); returns it
+    plus the bytes it spans. *)
+let decode_backend ?(pos = 0) (data : string) : backend_msg * int =
+  let total = whole_frame pos data in
+  let tag = data.[pos] in
+  let r = { data; pos = pos + 5; limit = pos + total } in
   let m =
     match tag with
     | 'R' -> (
@@ -247,7 +270,7 @@ let decode_backend (data : string) : backend_msg * int =
         ParameterStatus (k, v)
     | 'Z' -> ReadyForQuery (Char.chr (get_u8 r))
     | 'T' ->
-        let n = get_i16 r in
+        let n = get_count r in
         let fields =
           List.init n (fun _ ->
               let fd_name = get_cstr r in
@@ -261,11 +284,12 @@ let decode_backend (data : string) : backend_msg * int =
         in
         RowDescription fields
     | 'D' ->
-        let n = get_i16 r in
+        let n = get_count r in
         let fields =
           List.init n (fun _ ->
               let len = get_i32 r in
-              if len < 0 then None
+              if len = -1 then None
+              else if len < 0 then decode_error "bad field length %d" len
               else begin
                 need r len;
                 let s = String.sub r.data r.pos len in
@@ -295,20 +319,22 @@ let decode_backend (data : string) : backend_msg * int =
   in
   (m, total)
 
-(** Decode one frontend message. Startup has no tag byte; pass
+(** Decode one frontend message starting at [pos] (default 0); returns
+    it plus the bytes it spans. Startup has no tag byte; pass
     [in_startup:true] until the startup packet has been seen. *)
-let decode_frontend ?(in_startup = false) (data : string) :
+let decode_frontend ?(in_startup = false) ?(pos = 0) (data : string) :
     frontend_msg * int =
   if in_startup then begin
-    if String.length data < 8 then decode_error "short startup";
-    let r = { data; pos = 0 } in
-    let len = get_i32 r in
-    if len > String.length data then decode_error "truncated startup";
+    if String.length data - pos < 8 then decode_error "short startup";
+    let len = get_i32 { data; pos; limit = pos + 4 } in
+    if len < 8 then decode_error "bad startup length %d" len;
+    if pos + len > String.length data then decode_error "truncated startup";
+    let r = { data; pos = pos + 4; limit = pos + len } in
     let proto = get_i32 r in
     if proto <> 196608 then decode_error "unsupported protocol %d" proto;
     let params = ref [] in
     let rec go () =
-      if r.pos < len && data.[r.pos] <> '\000' then begin
+      if r.pos < r.limit && data.[r.pos] <> '\000' then begin
         let k = get_cstr r in
         let v = get_cstr r in
         params := (k, v) :: !params;
@@ -319,14 +345,10 @@ let decode_frontend ?(in_startup = false) (data : string) :
     (Startup (List.rev !params), len)
   end
   else begin
-    if String.length data < 5 then decode_error "short message";
-    let tag = data.[0] in
-    let r = { data; pos = 1 } in
-    let len = get_i32 r in
-    let total = 1 + len in
-    if total > String.length data then decode_error "truncated message";
+    let total = whole_frame pos data in
+    let r = { data; pos = pos + 5; limit = pos + total } in
     let m =
-      match tag with
+      match data.[pos] with
       | 'Q' -> Query (get_cstr r)
       | 'p' -> PasswordMessage (get_cstr r)
       | 'X' -> Terminate

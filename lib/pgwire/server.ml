@@ -81,27 +81,47 @@ let run_query t (sql : string) : string =
       ^ C.encode_backend (C.ReadyForQuery 'I')
 
 (** Feed frontend bytes into the server; returns backend bytes. Partial
-    messages are buffered across calls. *)
+    messages are buffered across calls. Messages are decoded in place at a
+    read offset, and only the undecoded tail is kept, so one call is
+    linear in the bytes it holds. *)
 let feed (t : t) (bytes : string) : string =
-  t.pending <- t.pending ^ bytes;
+  let data = if t.pending = "" then bytes else t.pending ^ bytes in
+  let pos = ref 0 in
   let out = Buffer.create 64 in
+  let keep_tail () =
+    t.pending <-
+      (if !pos = 0 then data
+       else String.sub data !pos (String.length data - !pos))
+  in
+  Fun.protect ~finally:keep_tail @@ fun () ->
   let progress = ref true in
   while !progress do
     progress := false;
-    match t.phase with
-    | Closed -> t.pending <- ""
-    | Startup -> (
-        match C.decode_frontend ~in_startup:true t.pending with
-        | exception C.Decode_error _ -> ()
-        | C.Startup params, consumed ->
-            t.pending <-
-              String.sub t.pending consumed (String.length t.pending - consumed);
+    let decoded =
+      match t.phase with
+      | Closed ->
+          pos := String.length data;
+          None
+      | Startup -> (
+          try Some (C.decode_frontend ~in_startup:true ~pos:!pos data)
+          with C.Decode_error _ -> None)
+      | Authenticating _ | Ready -> (
+          try Some (C.decode_frontend ~pos:!pos data)
+          with C.Decode_error _ -> None)
+    in
+    match decoded with
+    | None -> ()
+    | Some (msg, consumed) -> (
+        pos := !pos + consumed;
+        progress := true;
+        match (t.phase, msg) with
+        | Startup, C.Startup params -> (
             let user =
               match List.assoc_opt "user" params with
               | Some u -> u
               | None -> "anonymous"
             in
-            (match t.auth with
+            match t.auth with
             | Trust ->
                 t.phase <- Ready;
                 Buffer.add_string out (ok_preamble ())
@@ -113,18 +133,8 @@ let feed (t : t) (bytes : string) : string =
                 let salt = "s@lt" in
                 t.phase <- Authenticating { user; salt = Some salt };
                 Buffer.add_string out
-                  (C.encode_backend (C.AuthenticationMD5Password salt)));
-            progress := true
-        | _, consumed ->
-            t.pending <-
-              String.sub t.pending consumed (String.length t.pending - consumed);
-            progress := true)
-    | Authenticating { user; salt } -> (
-        match C.decode_frontend t.pending with
-        | exception C.Decode_error _ -> ()
-        | C.PasswordMessage given, consumed ->
-            t.pending <-
-              String.sub t.pending consumed (String.length t.pending - consumed);
+                  (C.encode_backend (C.AuthenticationMD5Password salt)))
+        | Authenticating { user; salt }, C.PasswordMessage given ->
             if check_password t ~user ~given ~salt then begin
               t.phase <- Ready;
               Buffer.add_string out (ok_preamble ())
@@ -141,28 +151,9 @@ let feed (t : t) (bytes : string) : string =
                             "password authentication failed for user \"%s\""
                             user;
                       }))
-            end;
-            progress := true
-        | _, consumed ->
-            t.pending <-
-              String.sub t.pending consumed (String.length t.pending - consumed);
-            progress := true)
-    | Ready -> (
-        match C.decode_frontend t.pending with
-        | exception C.Decode_error _ -> ()
-        | C.Query sql, consumed ->
-            t.pending <-
-              String.sub t.pending consumed (String.length t.pending - consumed);
-            Buffer.add_string out (run_query t sql);
-            progress := true
-        | C.Terminate, consumed ->
-            t.pending <-
-              String.sub t.pending consumed (String.length t.pending - consumed);
-            t.phase <- Closed;
-            progress := true
-        | _, consumed ->
-            t.pending <-
-              String.sub t.pending consumed (String.length t.pending - consumed);
-            progress := true)
+            end
+        | Ready, C.Query sql -> Buffer.add_string out (run_query t sql)
+        | Ready, C.Terminate -> t.phase <- Closed
+        | _ -> (* out of place for the phase: skipped *) ())
   done;
   Buffer.contents out

@@ -896,15 +896,26 @@ let record_workload (t : t) ~(norm : string) ~(fp : string)
     we additionally surface a flag via [phase]). *)
 let feed (t : t) (bytes : string) : string =
   M.add t.m.qipc_bytes_in (String.length bytes);
-  t.pending <- t.pending ^ bytes;
+  let data = if t.pending = "" then bytes else t.pending ^ bytes in
+  (* messages are decoded at a read offset; only the undecoded tail is
+     kept, so one call is linear in the bytes it holds *)
+  let pos = ref 0 in
+  let keep_tail () =
+    t.pending <-
+      (if !pos = 0 then data
+       else String.sub data !pos (String.length data - !pos))
+  in
   let reply_bytes =
+    Fun.protect ~finally:keep_tail @@ fun () ->
     match t.phase with
-    | Closed -> ""
+    | Closed ->
+        pos := String.length data;
+        ""
     | Handshake -> (
-        match Qipc.Codec.decode_handshake t.pending with
+        match Qipc.Codec.decode_handshake data with
         | exception Qipc.Codec.Decode_error _ -> "" (* wait for more bytes *)
         | h ->
-            t.pending <- "";
+            pos := String.length data;
             if authenticate t h then begin
               t.phase <- Connected;
               t.client_version <- min h.Qipc.Codec.version 3;
@@ -930,12 +941,18 @@ let feed (t : t) (bytes : string) : string =
         let progress = ref true in
         while !progress do
           progress := false;
-          match Qipc.Codec.decode_message t.pending with
-          | exception Qipc.Codec.Decode_error _ -> ()
-          | msg, consumed ->
-              t.pending <-
-                String.sub t.pending consumed
-                  (String.length t.pending - consumed);
+          let frame =
+            match Qipc.Codec.message_size ~pos:!pos data with
+            | Some total when total >= 8 && !pos + total <= String.length data
+              ->
+                if total = String.length data then Some data
+                else Some (String.sub data !pos total)
+            | _ -> None
+          in
+          match Option.map Qipc.Codec.decode_message frame with
+          | None | (exception Qipc.Codec.Decode_error _) -> ()
+          | Some (msg, consumed) ->
+              pos := !pos + consumed;
               progress := true;
               let reply =
                 match msg.Qipc.Codec.body with

@@ -332,6 +332,12 @@ let encode_message ?(compress = true) (m : message) : string =
     match Compress.compress raw with Some c -> c | None -> raw
   else raw
 
+(** The total size, from its 8-byte header, of the message that starts
+    at [pos]: [None] until the header is there. *)
+let message_size ~pos (data : string) : int option =
+  if String.length data - pos < 8 then None
+  else Some (get_i32 { data; pos = pos + 4 })
+
 (** Decode one complete QIPC message from the start of [data]; returns the
     message and the number of bytes consumed. Compressed messages are
     transparently decompressed. *)

@@ -154,6 +154,47 @@ let test_fragmented_qipc_delivery () =
       check tint "3 rows" 3 (QV.table_length t)
   | _ -> Alcotest.fail "expected a table reply")
 
+let test_pipelined_qipc () =
+  (* 1,000 queries sent in one feed are answered in order; feeding the
+     same bytes one byte per call gives the same reply *)
+  let hello =
+    Qipc.Codec.encode_handshake ~user:"trader" ~password:"pwd" ~version:3
+  in
+  let queries =
+    String.concat ""
+      (List.init 1000 (fun i ->
+           Qipc.Codec.encode_message
+             {
+               mt = Qipc.Codec.Sync;
+               body = Qipc.Codec.Query (Printf.sprintf "%d+1" i);
+             }))
+  in
+  let c1 = P.connect (platform ()) in
+  ignore (Platform.Endpoint.feed c1.P.endpoint hello);
+  let reply = Platform.Endpoint.feed c1.P.endpoint queries in
+  let rec values pos acc =
+    if pos >= String.length reply then List.rev acc
+    else
+      let m, n =
+        Qipc.Codec.decode_message (String.sub reply pos (String.length reply - pos))
+      in
+      match m.Qipc.Codec.body with
+      | Qipc.Codec.Value v -> values (pos + n) (v :: acc)
+      | _ -> Alcotest.fail "expected a value reply"
+  in
+  check tbool "answered in order" true
+    (List.for_all2 QV.equal (values 0 [])
+       (List.init 1000 (fun i -> QV.int (i + 1))));
+  let c2 = P.connect (platform ()) in
+  ignore (Platform.Endpoint.feed c2.P.endpoint hello);
+  let out = Buffer.create (String.length reply) in
+  String.iter
+    (fun ch ->
+      Buffer.add_string out
+        (Platform.Endpoint.feed c2.P.endpoint (String.make 1 ch)))
+    queries;
+  check tbool "byte-at-a-time reply identical" true (Buffer.contents out = reply)
+
 let test_temp_tables_released_on_disconnect () =
   (* physical materialization creates session temp tables; disconnect must
      release them in the backend *)
@@ -240,6 +281,8 @@ let () =
             test_function_definition_and_call_over_wire;
           Alcotest.test_case "fragmented QIPC delivery" `Quick
             test_fragmented_qipc_delivery;
+          Alcotest.test_case "pipelined QIPC queries" `Quick
+            test_pipelined_qipc;
           Alcotest.test_case "temp tables released on disconnect" `Quick
             test_temp_tables_released_on_disconnect;
           Alcotest.test_case "large result compressed end-to-end" `Quick

@@ -368,6 +368,345 @@ let test_wire_fragmented_delivery () =
   | Error e -> Alcotest.fail e
 
 (* ------------------------------------------------------------------ *)
+(* PG v3 decode cursor                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* A ready client whose transport hands back [replies], one per call, and
+   then reports end of stream. *)
+let canned_client replies =
+  let pending = ref replies in
+  let send _ =
+    match !pending with
+    | r :: rest ->
+        pending := rest;
+        r
+    | [] -> ""
+  in
+  { Pgwire.Client.send; buffer = ""; ready = true }
+
+(* The backend bytes of one result: [n] rows of a bigint, a varchar and a
+   double column, with a NULL every seventh row. *)
+let canned_result n =
+  let buf = Buffer.create (n * 32) in
+  Buffer.add_string buf
+    (PC.encode_backend
+       (PC.RowDescription
+          [
+            { PC.fd_name = "id"; fd_type_oid = 20 };
+            { PC.fd_name = "sym"; fd_type_oid = 1043 };
+            { PC.fd_name = "px"; fd_type_oid = 701 };
+          ]));
+  for i = 0 to n - 1 do
+    Buffer.add_string buf
+      (PC.encode_backend
+         (PC.DataRow
+            [
+              Some (string_of_int i);
+              (if i mod 7 = 0 then None else Some (Printf.sprintf "S%03d" (i mod 500)));
+              Some (Printf.sprintf "%.2f" (float_of_int i *. 0.25));
+            ]))
+  done;
+  Buffer.add_string buf
+    (PC.encode_backend (PC.CommandComplete (Printf.sprintf "SELECT %d" n)));
+  Buffer.add_string buf (PC.encode_backend (PC.ReadyForQuery 'I'));
+  Buffer.contents buf
+
+let query_ok client sql =
+  match Pgwire.Client.query client sql with
+  | Ok r -> r
+  | Error e -> Alcotest.fail e
+
+(* a whole frame that does not parse fails the query at once: more bytes
+   from the transport cannot mend it *)
+let malformed_fails bytes =
+  match Pgwire.Client.query (canned_client [ bytes; canned_result 1 ]) "q" with
+  | exception Pgwire.Client.Protocol_error e ->
+      check tbool "reported as malformed" true
+        (String.starts_with ~prefix:"malformed" e)
+  | _ -> Alcotest.fail "a malformed message must fail the query"
+
+let test_negative_count_rejected () =
+  (* a DataRow whose i16 field count is -1 *)
+  let repro = "D\000\000\000\006\255\255" in
+  (match PC.decode_backend repro with
+  | exception PC.Decode_error _ -> ()
+  | _ -> Alcotest.fail "negative field count must not decode");
+  malformed_fails repro;
+  (* the same for a RowDescription, and a field length below -1 *)
+  (match PC.decode_backend "T\000\000\000\006\255\254" with
+  | exception PC.Decode_error _ -> ()
+  | _ -> Alcotest.fail "negative column count must not decode");
+  let bad_len = "D\000\000\000\n\000\001\255\255\255\254" in
+  (match PC.decode_backend bad_len with
+  | exception PC.Decode_error _ -> ()
+  | _ -> Alcotest.fail "field length -2 must not decode");
+  malformed_fails bad_len
+
+let test_field_count_mismatch () =
+  (* a DataRow with fewer fields than the RowDescription has columns *)
+  let bytes =
+    String.concat ""
+      (List.map PC.encode_backend
+         [
+           PC.RowDescription
+             [
+               { PC.fd_name = "a"; fd_type_oid = 20 };
+               { PC.fd_name = "b"; fd_type_oid = 20 };
+             ];
+           PC.DataRow [ Some "1" ];
+           PC.CommandComplete "SELECT 1";
+           PC.ReadyForQuery 'I';
+         ])
+  in
+  match Pgwire.Client.query (canned_client [ bytes ]) "q" with
+  | exception Pgwire.Client.Protocol_error _ -> ()
+  | _ -> Alcotest.fail "a short DataRow must fail the query"
+
+let test_decode_at_offset () =
+  (* decoding at [pos] reads one frame and never past it *)
+  let a = PC.encode_backend (PC.CommandComplete "SELECT 1") in
+  let b = PC.encode_backend (PC.DataRow [ Some "x"; None ]) in
+  let data = a ^ b in
+  (match PC.decode_backend ~pos:(String.length a) data with
+  | PC.DataRow [ Some "x"; None ], n -> check tint "spans" (String.length b) n
+  | _ -> Alcotest.fail "decode at offset");
+  (* a row that claims a longer field than its frame holds is malformed,
+     even with more bytes after it *)
+  let short = "D\000\000\000\011\000\001\000\000\000\005ab" in
+  match PC.decode_backend (short ^ a) with
+  | exception PC.Decode_error _ -> ()
+  | _ -> Alcotest.fail "a field must not run into the next message"
+
+let test_chunked_delivery () =
+  (* the reply arrives in chunks of 1, 7 and 4096 bytes; the rows must be
+     those of one-shot delivery *)
+  let bytes = canned_result 500 in
+  let expected = query_ok (canned_client [ bytes ]) "q" in
+  check tint "one-shot rows" 500 (Array.length expected.Pgwire.Client.rows);
+  List.iter
+    (fun chunk ->
+      let chunks =
+        List.init
+          ((String.length bytes + chunk - 1) / chunk)
+          (fun i ->
+            String.sub bytes (i * chunk)
+              (min chunk (String.length bytes - (i * chunk))))
+      in
+      let client = canned_client chunks in
+      let r = query_ok client "q" in
+      check tstr (Printf.sprintf "tag, %d-byte chunks" chunk)
+        expected.Pgwire.Client.tag r.Pgwire.Client.tag;
+      check tbool
+        (Printf.sprintf "rows, %d-byte chunks" chunk)
+        true
+        (r.Pgwire.Client.rows = expected.Pgwire.Client.rows
+        && r.Pgwire.Client.columns = expected.Pgwire.Client.columns);
+      check tstr "nothing left over" "" client.Pgwire.Client.buffer)
+    [ 1; 7; 4096 ]
+
+let test_tail_survives () =
+  (* bytes after ReadyForQuery belong to the next query *)
+  let first = canned_result 3 and second = canned_result 5 in
+  let client = canned_client [ first ^ second ] in
+  let r1 = query_ok client "q1" in
+  check tint "first result" 3 (Array.length r1.Pgwire.Client.rows);
+  check tstr "tail kept" second client.Pgwire.Client.buffer;
+  let r2 = query_ok client "q2" in
+  check tint "second result" 5 (Array.length r2.Pgwire.Client.rows);
+  check tstr "tag" "SELECT 5" r2.Pgwire.Client.tag;
+  check tstr "drained" "" client.Pgwire.Client.buffer
+
+let test_decode_allocation_linear () =
+  (* deterministic linearity: decoding 10x the rows allocates at most 12x
+     the bytes (a per-message copy of the remaining buffer made it ~100x) *)
+  let alloc n =
+    let bytes = canned_result n in
+    let client = canned_client [ bytes ] in
+    (* an empty minor heap at both readings makes the count exact *)
+    Gc.minor ();
+    let before = Gc.allocated_bytes () in
+    let r = query_ok client "q" in
+    Gc.minor ();
+    let after = Gc.allocated_bytes () in
+    check tint "rows" n (Array.length r.Pgwire.Client.rows);
+    after -. before
+  in
+  let small = alloc 2_000 and large = alloc 20_000 in
+  if large > 12.0 *. small then
+    Alcotest.failf "decode allocation not linear: 2k rows %.0f B, 20k rows %.0f B"
+      small large
+
+(* decode every backend message of [bytes] in order *)
+let backend_messages bytes =
+  let rec go pos acc =
+    if pos >= String.length bytes then List.rev acc
+    else
+      let m, n = PC.decode_backend ~pos bytes in
+      go (pos + n) (m :: acc)
+  in
+  go 0 []
+
+let test_server_pipelined () =
+  (* 1,000 queries sent in one feed are answered in order; feeding the
+     same bytes one byte per call gives the same reply *)
+  let startup = PC.encode_frontend (PC.Startup [ ("user", "app") ]) in
+  let queries =
+    String.concat ""
+      (List.init 1000 (fun i ->
+           PC.encode_frontend (PC.Query (Printf.sprintf "SELECT %d" i))))
+  in
+  let s1 = wire_fixture () in
+  ignore (Pgwire.Server.feed s1 startup);
+  let reply = Pgwire.Server.feed s1 queries in
+  let values =
+    List.filter_map
+      (function PC.DataRow [ Some v ] -> Some v | _ -> None)
+      (backend_messages reply)
+  in
+  check tbool "answered in order" true
+    (values = List.init 1000 string_of_int);
+  let s2 = wire_fixture () in
+  ignore (Pgwire.Server.feed s2 startup);
+  let out = Buffer.create (String.length reply) in
+  String.iter
+    (fun c -> Buffer.add_string out (Pgwire.Server.feed s2 (String.make 1 c)))
+    queries;
+  check tbool "byte-at-a-time reply identical" true
+    (Buffer.contents out = reply)
+
+(* ------------------------------------------------------------------ *)
+(* PG v3 text rendering                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* The Printf renderers the hand-written ones must match byte for byte. *)
+let ref_float f =
+  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
+  else Printf.sprintf "%.17g" f
+
+let ref_date d =
+  let y, m, dd = Pgdb.Value.ymd_of_days d in
+  Printf.sprintf "%04d-%02d-%02d" y m dd
+
+let ref_time t =
+  let ms = t mod 1000 and s = t / 1000 in
+  Printf.sprintf "%02d:%02d:%02d.%03d" (s / 3600) (s / 60 mod 60) (s mod 60) ms
+
+let ref_timestamp n =
+  let ns_per_day = Pgdb.Value.ns_per_day in
+  let day = Int64.to_int (Int64.div n ns_per_day) in
+  let rem = Int64.rem n ns_per_day in
+  let day, rem =
+    if Int64.compare rem 0L < 0 then (day - 1, Int64.add rem ns_per_day)
+    else (day, rem)
+  in
+  let y, m, dd = Pgdb.Value.ymd_of_days day in
+  let us = Int64.to_int (Int64.div (Int64.rem rem 1_000_000_000L) 1000L) in
+  let s = Int64.to_int (Int64.div rem 1_000_000_000L) in
+  Printf.sprintf "%04d-%02d-%02d %02d:%02d:%02d.%06d" y m dd (s / 3600)
+    (s / 60 mod 60) (s mod 60) us
+
+let text v =
+  match Pgdb.Value.to_text v with Some s -> s | None -> Alcotest.fail "NULL"
+
+let same what expected v =
+  let got = text v in
+  if got <> expected then
+    Alcotest.failf "%s: %S, Printf gives %S" what got expected
+
+let test_text_time () =
+  let t = ref 0 in
+  while !t < 86_400_000 do
+    same "time" (ref_time !t) (Pgdb.Value.Time !t);
+    t := !t + 997
+  done;
+  (* outside one day the fields go negative or wide *)
+  List.iter
+    (fun t -> same "time" (ref_time t) (Pgdb.Value.Time t))
+    [ 86_399_999; 86_400_000; -1; -999; -1000; -86_400_001; 400_000_000 ]
+
+let test_text_date () =
+  for d = -73_050 to 73_050 do
+    same "date" (ref_date d) (Pgdb.Value.Date d)
+  done;
+  (* years outside 0..9999 print wider than four digits *)
+  List.iter
+    (fun d ->
+      same "date" (ref_date d) (Pgdb.Value.Date d);
+      let ts = Int64.mul (Int64.of_int d) Pgdb.Value.ns_per_day in
+      same "timestamp" (ref_timestamp ts) (Pgdb.Value.Timestamp ts))
+    [ -800_000; -730_500; 2_923_000; 3_000_000 ]
+
+let test_text_timestamp () =
+  let step = 123_456_789_012_345L in
+  List.iter
+    (fun (lo, hi) ->
+      let n = ref lo in
+      while Int64.compare !n hi < 0 do
+        same "timestamp" (ref_timestamp !n) (Pgdb.Value.Timestamp !n);
+        n := Int64.add !n step
+      done)
+    [ (-6_311_520_000_000_000_000L, 0L); (0L, 6_311_520_000_000_000_000L) ];
+  List.iter
+    (fun n -> same "timestamp" (ref_timestamp n) (Pgdb.Value.Timestamp n))
+    [ -1L; 0L; 1L; 999L; 1000L; -86_400_000_000_000L; 520_000_000_123_456_789L ]
+
+let test_text_float () =
+  List.iter
+    (fun f -> same "float" (ref_float f) (Pgdb.Value.Float f))
+    [
+      Float.nan; Float.infinity; Float.neg_infinity; 0.0; -0.0; 1.0; -1.0;
+      0.1 +. 0.2; 1e15; -1e15; 999_999_999_999_999.0; -999_999_999_999_999.0;
+      1e15 +. 1.0; 4.9e-324; -4.9e-324; 2.2250738585072014e-308;
+      2.225073858507201e-308; Float.max_float; Float.min_float; 123456.789;
+      1e22; 1e-7; Float.pi; -2.5; 0.5;
+    ];
+  for i = -2000 to 2000 do
+    let f = float_of_int i *. 0.37 in
+    same "float" (ref_float f) (Pgdb.Value.Float f)
+  done
+
+let test_result_messages_bytes () =
+  (* the parent renderer's bytes for a result of every type with NULLs *)
+  let module V = Pgdb.Value in
+  let module T = Catalog.Sqltype in
+  let res =
+    {
+      Pgdb.Exec.res_cols =
+        [
+          ("b", T.TBool); ("i", T.TBigint); ("f", T.TDouble); ("s", T.TVarchar);
+          ("x", T.TText); ("d", T.TDate); ("tm", T.TTime);
+          ("ts", T.TTimestamp);
+        ];
+      res_rows =
+        [|
+          [| V.Bool true; V.Int 42L; V.Float (0.1 +. 0.2); V.Str "GOOG";
+             V.Str "x y"; V.Date 6021; V.Time 34_200_123;
+             V.Timestamp 520_000_000_123_456_000L |];
+          [| V.Null; V.Null; V.Null; V.Null; V.Null; V.Null; V.Null; V.Null |];
+          [| V.Bool false; V.Int (-7L); V.Float 1e15; V.Str ""; V.Null;
+             V.Date (-1); V.Time 0; V.Timestamp (-1L) |];
+          [| V.Null; V.Int Int64.min_int; V.Float (-0.0); V.Str "\xc3\xa9";
+             V.Str "t"; V.Date 73_000; V.Time 86_399_999; V.Null |];
+          [| V.Bool true; V.Int Int64.max_int; V.Float Float.nan; V.Null;
+             V.Str "\000"; V.Date (-73_000); V.Null;
+             V.Timestamp (-6_311_520_000_000_000_000L) |];
+          [| V.Bool false; V.Null; V.Float Float.infinity; V.Str "a"; V.Null;
+             V.Null; V.Time 1; V.Timestamp 0L |];
+          [| V.Null; V.Int 0L; V.Float Float.neg_infinity; V.Null; V.Null;
+             V.Date 0; V.Null; V.Null |];
+          [| V.Null; V.Null; V.Float 123456.789; V.Null; V.Null; V.Null;
+             V.Null; V.Null |];
+          [| V.Null; V.Null; V.Float 4.9e-324; V.Null; V.Null; V.Null;
+             V.Null; V.Null |];
+        |];
+    }
+  in
+  let bytes = Pgwire.Server.result_messages res "SELECT 9" in
+  check tint "length" 884 (String.length bytes);
+  check tstr "digest" "e60b9f8df42ce8674235880d3f1ff067"
+    (Digest.to_hex (Digest.string bytes))
+
+(* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -473,6 +812,27 @@ let () =
           Alcotest.test_case "cleartext auth" `Quick test_wire_cleartext_auth;
           Alcotest.test_case "fragmented delivery" `Quick
             test_wire_fragmented_delivery;
+        ] );
+      ( "decode cursor",
+        [
+          Alcotest.test_case "negative counts rejected" `Quick
+            test_negative_count_rejected;
+          Alcotest.test_case "field count mismatch" `Quick
+            test_field_count_mismatch;
+          Alcotest.test_case "decode at offset" `Quick test_decode_at_offset;
+          Alcotest.test_case "chunked delivery" `Quick test_chunked_delivery;
+          Alcotest.test_case "tail survives" `Quick test_tail_survives;
+          Alcotest.test_case "linear allocation" `Quick
+            test_decode_allocation_linear;
+          Alcotest.test_case "server pipelining" `Quick test_server_pipelined;
+        ] );
+      ( "pg text",
+        [
+          Alcotest.test_case "time" `Quick test_text_time;
+          Alcotest.test_case "date" `Quick test_text_date;
+          Alcotest.test_case "timestamp" `Quick test_text_timestamp;
+          Alcotest.test_case "float" `Quick test_text_float;
+          Alcotest.test_case "result bytes" `Quick test_result_messages_bytes;
         ] );
       ("properties", props);
     ]
