@@ -7,9 +7,6 @@
 type result = {
   cols : (string * Catalog.Sqltype.t) list;
   rows : Pgdb.Value.t array array;
-  colmajor : Pgdb.Value.t array array option;
-      (** the same result as column vectors (one array per column), when
-          the executor produced it that way; [None] on the wire path *)
 }
 
 type reply = Result_set of result | Command_ok of string

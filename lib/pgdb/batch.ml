@@ -12,7 +12,7 @@
     Operators never copy rows to drop them: a selection vector (a dense
     [int array] of surviving row indices) narrows a batch, and
     [compact] gathers a column through one only when a dense vector is
-    actually needed (e.g. to hand column values to the QIPC pivot). *)
+    actually needed. *)
 
 type data =
   | DInt of int64 array
@@ -145,11 +145,6 @@ let compact (c : column) (sel : sel) : column =
     | DVal a -> DVal (Array.init n (fun k -> a.(sel.(k))))
   in
   { data; nulls = !nulls; has_nulls = !has_nulls }
-
-(* dense boxed view of a column through a selection vector — what the
-   row-oriented result layer and the QIPC pivot consume *)
-let values (c : column) (sel : sel) : Value.t array =
-  Array.map (fun i -> value_at c i) sel
 
 (* gather a column through an index vector that may contain -1 slots,
    which become NULL — how a left-outer join pads its unmatched probe

@@ -221,14 +221,16 @@ let encode_frontend (m : frontend_msg) : string =
 (* Decoding                                                          *)
 (* ---------------------------------------------------------------- *)
 
-(** The framed size of the tagged message that starts at [pos]: [None]
-    until its 5-byte header is there. A size below 5 means a malformed
+(** The framed size of the tagged message that starts at [pos] (with
+    [in_startup], of the untagged startup message): [None] until its
+    length is there. A size below 5 (startup: 8) means a malformed
     length. *)
-let frame_size ~pos (data : string) : int option =
-  if String.length data - pos < 5 then None
+let frame_size ?(in_startup = false) ~pos (data : string) : int option =
+  let tag = if in_startup then 0 else 1 in
+  if String.length data - pos < tag + 4 then None
   else
-    let r = { data; pos = pos + 1; limit = pos + 5 } in
-    Some (1 + get_i32 r)
+    let r = { data; pos = pos + tag; limit = pos + tag + 4 } in
+    Some (tag + get_i32 r)
 
 (* the framed size of the whole tagged message at [pos] *)
 let whole_frame pos data =

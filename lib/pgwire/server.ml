@@ -94,6 +94,18 @@ let feed (t : t) (bytes : string) : string =
        else String.sub data !pos (String.length data - !pos))
   in
   Fun.protect ~finally:keep_tail @@ fun () ->
+  (* a frame that is all there but does not parse can never become
+     valid: report a protocol violation and close, rather than waiting
+     for bytes that would not help *)
+  let reject reason =
+    t.phase <- Closed;
+    pos := String.length data;
+    Buffer.add_string out
+      (C.encode_backend
+         (C.ErrorResponse
+            { code = "08P01"; message = "malformed message: " ^ reason }));
+    None
+  in
   let progress = ref true in
   while !progress do
     progress := false;
@@ -102,12 +114,15 @@ let feed (t : t) (bytes : string) : string =
       | Closed ->
           pos := String.length data;
           None
-      | Startup -> (
-          try Some (C.decode_frontend ~in_startup:true ~pos:!pos data)
-          with C.Decode_error _ -> None)
-      | Authenticating _ | Ready -> (
-          try Some (C.decode_frontend ~pos:!pos data)
-          with C.Decode_error _ -> None)
+      | Startup | Authenticating _ | Ready -> (
+          let in_startup = t.phase = Startup in
+          match C.decode_frontend ~in_startup ~pos:!pos data with
+          | decoded -> Some decoded
+          | exception C.Decode_error reason -> (
+              match C.frame_size ~in_startup ~pos:!pos data with
+              | Some total when !pos + total <= String.length data ->
+                  reject reason
+              | _ -> None (* truncated: wait for more bytes *)))
     in
     match decoded with
     | None -> ()

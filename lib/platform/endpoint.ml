@@ -938,19 +938,39 @@ let feed (t : t) (bytes : string) : string =
             end)
     | Connected ->
         let out = Buffer.create 64 in
+        (* a frame that is all there but does not parse can never become
+           valid: answer it with an error and close, rather than waiting
+           for bytes that would not help *)
+        let reject reason =
+          t.phase <- Closed;
+          pos := String.length data;
+          Buffer.add_string out
+            (Qipc.Codec.encode_message
+               {
+                 mt = Qipc.Codec.Response;
+                 body = Qipc.Codec.Error ("malformed message: " ^ reason);
+               })
+        in
+        let decode total =
+          if total < 8 then
+            Qipc.Codec.decode_error "bad message length %d" total
+          else if total = String.length data then
+            Qipc.Codec.decode_message data
+          else Qipc.Codec.decode_message (String.sub data !pos total)
+        in
         let progress = ref true in
         while !progress do
           progress := false;
           let frame =
             match Qipc.Codec.message_size ~pos:!pos data with
-            | Some total when total >= 8 && !pos + total <= String.length data
+            | Some total when total >= 8 && !pos + total > String.length data
               ->
-                if total = String.length data then Some data
-                else Some (String.sub data !pos total)
-            | _ -> None
+                None (* truncated: wait for more bytes *)
+            | size -> size
           in
-          match Option.map Qipc.Codec.decode_message frame with
-          | None | (exception Qipc.Codec.Decode_error _) -> ()
+          match Option.map decode frame with
+          | None -> ()
+          | exception Qipc.Codec.Decode_error reason -> reject reason
           | Some (msg, consumed) ->
               pos := !pos + consumed;
               progress := true;

@@ -117,11 +117,8 @@ let put_atom_payload buf (a : Atom.t) =
    written by one monomorphic loop per element type — same-type atoms
    and typed nulls inline, with {!Atom.cast} only on the rare mistyped
    element — instead of running the [Qtype.equal]/[Atom.cast]/
-   [put_atom_payload] triple dispatch once per element. This is the
-   wire half of the columnar hand-off: an all-column projection arrives
-   here as column vectors straight from the vectorized executor and
-   leaves as wire bytes without any per-element type probing. The byte
-   output is identical to the generic path. *)
+   [put_atom_payload] triple dispatch once per element. The byte output
+   is identical to the generic path. *)
 let put_vector_payload buf (ty : Qtype.t) (atoms : Atom.t array) =
   let n = Array.length atoms in
   let slow a = put_atom_payload buf (Atom.cast ty a) in
@@ -251,6 +248,25 @@ let get_atom_payload r (ty : Qtype.t) : Atom.t =
       let v = get_i32 r in
       if v = int_null then Atom.Null Qtype.Time else Atom.Time v
 
+(* the fewest bytes one element of a [ty] vector takes on the wire (a
+   symbol is at least its NUL) *)
+let min_width (ty : Qtype.t) =
+  match ty with
+  | Qtype.Bool | Qtype.Char | Qtype.Sym -> 1
+  | Qtype.Date | Qtype.Time -> 4
+  | Qtype.Long | Qtype.Float | Qtype.Timestamp -> 8
+
+(* an element count, checked before anything is allocated for it: a
+   count the rest of the message cannot hold at [width] bytes per
+   element is malformed, not a reason to allocate *)
+let get_count r ~width =
+  let n = get_i32 r in
+  if n < 0 then decode_error "negative count %d" n;
+  let left = String.length r.data - r.pos in
+  if n * width > left then
+    decode_error "count %d exceeds the %d bytes left" n left;
+  n
+
 let rec get_value r : Value.t =
   let code = get_i8 r in
   if code < 0 then
@@ -259,7 +275,8 @@ let rec get_value r : Value.t =
     | None -> decode_error "unknown atom type code %d" code
   else if code = 0 then begin
     let _attrs = get_u8 r in
-    let n = get_i32 r in
+    (* the smallest value is an atom: type byte plus a 1-byte payload *)
+    let n = get_count r ~width:2 in
     Value.List (Array.init n (fun _ -> get_value r))
   end
   else if code = 98 then begin
@@ -291,7 +308,7 @@ let rec get_value r : Value.t =
     match Qtype.of_code code with
     | Some ty ->
         let _attrs = get_u8 r in
-        let n = get_i32 r in
+        let n = get_count r ~width:(min_width ty) in
         Value.Vector (ty, Array.init n (fun _ -> get_atom_payload r ty))
     | None -> decode_error "unknown vector type code %d" code
 

@@ -125,6 +125,11 @@ let decompress (msg : string) : string =
   in
   let t = get_i32 8 in
   if t < 8 || t > 1 lsl 30 then raise (Corrupt "bad uncompressed length");
+  (* validate before allocating: a back-reference is 2 input bytes for
+     at most 257 output bytes, so the stream after the 12-byte header
+     cannot expand past 129 bytes per input byte *)
+  if t > 8 + (129 * (String.length msg - 12)) then
+    raise (Corrupt "uncompressed length exceeds what the stream can hold");
   let dst = Bytes.create t in
   (* reconstruct the 8-byte header: uncompressed flag, total length = t *)
   Bytes.set dst 0 msg.[0];

@@ -195,6 +195,58 @@ let test_pipelined_qipc () =
     queries;
   check tbool "byte-at-a-time reply identical" true (Buffer.contents out = reply)
 
+let test_malformed_qipc_frame_closes () =
+  (* a complete frame that cannot decode (vector type code 77) gets one
+     error reply and closes the connection; the query pipelined behind
+     it is dropped instead of waiting forever behind the bad frame *)
+  let hello =
+    Qipc.Codec.encode_handshake ~user:"trader" ~password:"pwd" ~version:3
+  in
+  let query text =
+    Qipc.Codec.encode_message
+      { mt = Qipc.Codec.Sync; body = Qipc.Codec.Query text }
+  in
+  let bad = "\001\001\000\000\014\000\000\000\077\000\001\000\000\000" in
+  let c = P.connect (platform ()) in
+  let ep = c.P.endpoint in
+  ignore (Platform.Endpoint.feed ep hello);
+  let reply = Platform.Endpoint.feed ep (bad ^ query "1+1") in
+  let msg, n = Qipc.Codec.decode_message reply in
+  check tint "exactly one reply" (String.length reply) n;
+  (match msg.Qipc.Codec.body with
+  | Qipc.Codec.Error _ -> ()
+  | _ -> Alcotest.fail "expected an error reply");
+  check tbool "connection closed" true (Platform.Endpoint.is_closed ep);
+  check tbool "pending empty" true (ep.Platform.Endpoint.pending = "");
+  check tbool "closed endpoint answers nothing" true
+    (Platform.Endpoint.feed ep (query "1+1") = "");
+  (* a header whose length is below the header size is malformed too *)
+  let c = P.connect (platform ()) in
+  ignore (Platform.Endpoint.feed c.P.endpoint hello);
+  let short = "\001\001\000\000\004\000\000\000" in
+  let reply = Platform.Endpoint.feed c.P.endpoint (short ^ query "1+1") in
+  (match Qipc.Codec.decode_message reply with
+  | { body = Qipc.Codec.Error _; _ }, n ->
+      check tint "one reply to a short length" (String.length reply) n
+  | _ -> Alcotest.fail "expected an error reply");
+  check tbool "short length closes" true
+    (Platform.Endpoint.is_closed c.P.endpoint);
+  (* a truncated prefix of a good frame still waits for the rest *)
+  let c = P.connect (platform ()) in
+  ignore (Platform.Endpoint.feed c.P.endpoint hello);
+  let q = query "1+1" in
+  check tbool "prefix waits" true
+    (Platform.Endpoint.feed c.P.endpoint (String.sub q 0 10) = "");
+  check tbool "still open" false (Platform.Endpoint.is_closed c.P.endpoint);
+  match
+    Qipc.Codec.decode_message
+      (Platform.Endpoint.feed c.P.endpoint
+         (String.sub q 10 (String.length q - 10)))
+  with
+  | { body = Qipc.Codec.Value v; _ }, _ ->
+      check tbool "rest answers" true (QV.equal v (QV.int 2))
+  | _ -> Alcotest.fail "expected a value reply"
+
 let test_temp_tables_released_on_disconnect () =
   (* physical materialization creates session temp tables; disconnect must
      release them in the backend *)
@@ -283,6 +335,8 @@ let () =
             test_fragmented_qipc_delivery;
           Alcotest.test_case "pipelined QIPC queries" `Quick
             test_pipelined_qipc;
+          Alcotest.test_case "malformed QIPC frame closes" `Quick
+            test_malformed_qipc_frame_closes;
           Alcotest.test_case "temp tables released on disconnect" `Quick
             test_temp_tables_released_on_disconnect;
           Alcotest.test_case "large result compressed end-to-end" `Quick

@@ -129,6 +129,35 @@ let test_qipc_truncated () =
   | exception QC.Decode_error _ -> ()
   | _ -> Alcotest.fail "truncated message must not decode"
 
+let le32 n = String.init 4 (fun i -> Char.chr ((n lsr (8 * i)) land 0xff))
+
+(* a plain response frame around [body] *)
+let qipc_frame body = "\001\002\000\000" ^ le32 (8 + String.length body) ^ body
+
+let rejects what frame =
+  match QC.decode_message frame with
+  | exception QC.Decode_error _ -> ()
+  | _ -> Alcotest.failf "%s must not decode" what
+
+let test_qipc_negative_counts () =
+  rejects "a list of count -1" (qipc_frame ("\000\000" ^ le32 (-1)));
+  rejects "a long vector of count -1" (qipc_frame ("\007\000" ^ le32 (-1)))
+
+let test_qipc_oversized_counts () =
+  (* 20-byte frames claiming 2^31-1 elements, each with a valid first
+     element; the count is refused before anything is allocated for it *)
+  let huge = 0x7fffffff in
+  let list = qipc_frame ("\000\000" ^ le32 huge ^ "\255\001\000\000\000\000") in
+  let vector = qipc_frame ("\001\000" ^ le32 huge ^ "\001\000\000\000\000\000") in
+  check tint "20-byte list frame" 20 (String.length list);
+  check tint "20-byte vector frame" 20 (String.length vector);
+  rejects "an oversized list count" list;
+  rejects "an oversized vector count" vector;
+  (* counts that fit still decode, empty ones included *)
+  roundtrip_value (Value.List [||]);
+  roundtrip_value (Value.longs [||]);
+  roundtrip_value (Value.List [| Value.Atom (Atom.Bool true) |])
+
 (* ------------------------------------------------------------------ *)
 (* QIPC compression                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -180,6 +209,20 @@ let test_corrupt_compressed_rejected () =
       check tbool "corruption detected or value changed" false
         (Value.equal v v')
   | _ -> ()
+
+let test_decompress_claimed_length () =
+  (* a 16-byte compressed message claiming 1 GiB: its 4 stream bytes
+     could expand to at most 8 + 129 * 4 bytes, so it is refused before
+     the output buffer is allocated *)
+  let msg = "\001\002\001\000" ^ le32 16 ^ le32 (1 lsl 30) ^ "\000abc" in
+  check tint "16 bytes" 16 (String.length msg);
+  let before = Gc.allocated_bytes () in
+  (match Qipc.Compress.decompress msg with
+  | exception Qipc.Compress.Corrupt _ -> ()
+  | _ -> Alcotest.fail "a 1 GiB claim must be rejected");
+  check tbool "nothing near the claimed size allocated" true
+    (Gc.allocated_bytes () -. before < 65536.0);
+  rejects "a 1 GiB claim through decode_message" msg
 
 let prop_compress_roundtrip =
   QCheck.Test.make ~count:200 ~name:"compress . decompress = id"
@@ -574,6 +617,46 @@ let test_server_pipelined () =
   check tbool "byte-at-a-time reply identical" true
     (Buffer.contents out = reply)
 
+let test_server_malformed_frame () =
+  (* a complete frame that does not parse gets one ErrorResponse with
+     SQLSTATE 08P01 and closes the connection; the query behind it is
+     dropped instead of waiting forever behind the bad frame *)
+  let startup = PC.encode_frontend (PC.Startup [ ("user", "app") ]) in
+  let query = PC.encode_frontend (PC.Query "SELECT 1") in
+  let protocol_violation what reply =
+    match backend_messages reply with
+    | [ PC.ErrorResponse { code; _ } ] -> check tstr what "08P01" code
+    | _ -> Alcotest.failf "%s: expected exactly one ErrorResponse" what
+  in
+  let closed s = s.Pgwire.Server.phase = Pgwire.Server.Closed in
+  let s = wire_fixture () in
+  ignore (Pgwire.Server.feed s startup);
+  protocol_violation "unknown message type"
+    (Pgwire.Server.feed s ("Z\000\000\000\004" ^ query));
+  check tbool "closed" true (closed s);
+  check tstr "pending empty" "" s.Pgwire.Server.pending;
+  check tstr "closed server answers nothing" "" (Pgwire.Server.feed s query);
+  (* a length below the 4 bytes of the length field itself *)
+  let s = wire_fixture () in
+  ignore (Pgwire.Server.feed s startup);
+  protocol_violation "short length"
+    (Pgwire.Server.feed s ("Q\000\000\000\002" ^ query));
+  check tbool "short length closes" true (closed s);
+  (* a complete startup packet with an unknown protocol version *)
+  let s = wire_fixture () in
+  protocol_violation "bad protocol"
+    (Pgwire.Server.feed s "\000\000\000\008\000\002\000\000");
+  check tbool "bad startup closes" true (closed s);
+  (* a truncated prefix of a good frame still waits for the rest *)
+  let s = wire_fixture () in
+  ignore (Pgwire.Server.feed s startup);
+  check tstr "prefix waits" "" (Pgwire.Server.feed s (String.sub query 0 3));
+  check tbool "still open" false (closed s);
+  let rest = String.sub query 3 (String.length query - 3) in
+  check tbool "rest answers" true
+    (List.mem (PC.DataRow [ Some "1" ])
+       (backend_messages (Pgwire.Server.feed s rest)))
+
 (* ------------------------------------------------------------------ *)
 (* PG v3 text rendering                                                *)
 (* ------------------------------------------------------------------ *)
@@ -785,6 +868,10 @@ let () =
           Alcotest.test_case "query body" `Quick test_qipc_query_roundtrip;
           Alcotest.test_case "handshake" `Quick test_qipc_handshake;
           Alcotest.test_case "truncated input" `Quick test_qipc_truncated;
+          Alcotest.test_case "negative counts" `Quick
+            test_qipc_negative_counts;
+          Alcotest.test_case "oversized counts" `Quick
+            test_qipc_oversized_counts;
         ] );
       ( "compression",
         [
@@ -794,6 +881,8 @@ let () =
             test_small_messages_stay_plain;
           Alcotest.test_case "corruption rejected" `Quick
             test_corrupt_compressed_rejected;
+          Alcotest.test_case "claimed length bounded" `Quick
+            test_decompress_claimed_length;
         ] );
       ( "pgv3",
         [
@@ -825,6 +914,8 @@ let () =
           Alcotest.test_case "linear allocation" `Quick
             test_decode_allocation_linear;
           Alcotest.test_case "server pipelining" `Quick test_server_pipelined;
+          Alcotest.test_case "malformed frame closes" `Quick
+            test_server_malformed_frame;
         ] );
       ( "pg text",
         [
